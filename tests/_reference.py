@@ -8,9 +8,25 @@ network is touched and both sides see byte-identical model output.
 
 from __future__ import annotations
 
+import os
 import sys
 
+import pytest
+
 REF_PATH = "/root/reference"
+
+# The module files import_reference() loads; the parity tests run only
+# where all of them exist.
+REF_MODULE_FILES = [
+    os.path.join(REF_PATH, "src", "knowledge_graph", f"{name}.py")
+    for name in ("main", "entity_standardization", "llm", "text_utils")
+]
+_MISSING_REF_FILES = [p for p in REF_MODULE_FILES if not os.path.isfile(p)]
+
+requires_reference = pytest.mark.skipif(
+    bool(_MISSING_REF_FILES),
+    reason=f"reference checkout absent: {', '.join(_MISSING_REF_FILES)} not found",
+)
 
 
 def _stub_missing_deps() -> None:

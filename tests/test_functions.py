@@ -23,7 +23,7 @@ from ai_knowledge_graph_ray.functions.textnorm import (
     normalize_ws,
 )
 
-from tests._reference import import_reference
+from tests._reference import import_reference, requires_reference
 
 
 def _make_doc(n_words: int) -> str:
@@ -47,6 +47,7 @@ class TestChunkText:
 
     @pytest.mark.parametrize("n", [0, 1, 99, 100, 101, 150, 199, 200, 480, 966, 1234])
     @pytest.mark.parametrize("size,ov", [(100, 20), (500, 50), (200, 20), (50, 10)])
+    @requires_reference
     def test_parity_with_reference(self, n, size, ov):
         _, _, _, ref_text = import_reference()
         text = _make_doc(n)
@@ -70,10 +71,12 @@ class TestExtractJson:
     ]
 
     @pytest.mark.parametrize("text", CASES)
+    @requires_reference
     def test_parity_with_reference(self, text):
         _, _, ref_llm, _ = import_reference()
         assert extract_json_from_text(text) == ref_llm.extract_json_from_text(text)
 
+    @requires_reference
     def test_mock_responses_all_parse_consistently(self):
         # Whatever format variant the mock picks, both parsers must
         # recover the same triples.
@@ -98,6 +101,7 @@ class TestPredicateLimit:
             "",
         ],
     )
+    @requires_reference
     def test_parity_with_reference(self, pred):
         _, ref_std, _, _ = import_reference()
         assert limit_predicate_length(pred) == ref_std.limit_predicate_length(pred)

@@ -12,7 +12,7 @@ import ray.data
 from ai_knowledge_graph_ray.functions.html_extract import wrap_html
 from ai_knowledge_graph_ray.pipelines.kg import build_graph
 
-from tests._reference import run_reference_pipeline
+from tests._reference import requires_reference, run_reference_pipeline
 
 CHUNKING = {"chunk_size": 100, "overlap": 20}
 
@@ -78,6 +78,7 @@ ALIAS_RICH_TEXT = (
 ) * 6
 
 
+@requires_reference
 @pytest.mark.parametrize("case", ["doc0", "doc1", "alias"])
 def test_pipeline_parity(case, tmp_path):
     if case == "alias":
@@ -110,6 +111,7 @@ def test_pipeline_parity(case, tmp_path):
     )
 
 
+@requires_reference
 def test_extraction_phase_only_parity(tmp_path):
     """Phase-1-only comparison (standardization+inference off) must be
     exact: chunking + mock + JSON recovery + validation + predicate

@@ -9,8 +9,10 @@ and union-find vs a trivial reachability oracle. No Ray involved.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -37,16 +39,15 @@ WORD = st.text(
 WORDS = st.lists(WORD, min_size=0, max_size=400)
 
 
+REF_TEXT_UTILS = "/root/reference/src/knowledge_graph/text_utils.py"
+
+
+@functools.cache
 def _load_reference_chunker():
-    spec = importlib.util.spec_from_file_location(
-        "ref_llm_mod", "/root/reference/src/knowledge_graph/text_utils.py"
-    )
+    spec = importlib.util.spec_from_file_location("ref_llm_mod", REF_TEXT_UTILS)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod.chunk_text
-
-
-REF_CHUNK = _load_reference_chunker()
 
 
 class TestChunkerProperties:
@@ -54,11 +55,16 @@ class TestChunkerProperties:
     # tail-exit test can never fire otherwise) — parity holds on that
     # whole domain; outside it the reference infinite-loops and ours
     # deliberately breaks (see chunk_text docstring).
+    @pytest.mark.skipif(
+        not os.path.isfile(REF_TEXT_UTILS),
+        reason=f"reference checkout absent: {REF_TEXT_UTILS} not found",
+    )
     @given(WORDS, st.integers(2, 60), st.integers(0, 30))
     def test_parity_with_reference_on_terminating_configs(self, words, size, ov):
+        ref_chunk = _load_reference_chunker()
         ov = min(ov, size // 2)
         text = " ".join(words)
-        assert chunk_text(text, size, ov) == REF_CHUNK(text, size, ov)
+        assert chunk_text(text, size, ov) == ref_chunk(text, size, ov)
 
     @given(WORDS, st.integers(2, 60), st.integers(0, 30))
     def test_every_word_occurrence_is_covered(self, words, size, ov):
